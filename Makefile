@@ -12,8 +12,8 @@ race:
 	$(GO) test -race ./...
 
 # race-core runs the race detector over just the packages that exercise
-# the parallel block executor and the seal path — the fast feedback loop
-# while iterating on scheduler or mempool code, and the fail-fast first
+# block execution and the seal path — the fast feedback loop while
+# iterating on state, executor or mempool code, and the fail-fast first
 # stage of ci's race coverage.
 race-core:
 	$(GO) test -race ./internal/ledger/... ./internal/market/...
@@ -62,10 +62,11 @@ bench-compare:
 	./scripts/bench_compare.sh
 
 # diag-selftest spins up a node with pprof, metrics history and the
-# runtime sampler enabled, drives parallel-execution traffic, captures
+# runtime sampler enabled, drives sealing transfer traffic, captures
 # a flight-recorder bundle over the real HTTP API and asserts it is
 # complete: every artifact present and parseable, a dense
-# mempool-depth history series, and CPU samples labeled by component.
+# mempool-depth history series, and CPU samples labeled by component
+# (the ledger.seal label must be present).
 diag-selftest:
 	$(GO) run ./cmd/pds2 diag -self-test
 
@@ -84,7 +85,7 @@ policy-smoke:
 # test — the DSL re-expression of the declarative engine must produce
 # bit-identical decision records, events and consumption through a full
 # settled lifecycle — the VM three-layer denial and deploy-gate tests,
-# and the six-mode proptest replay (vm mode re-executes every deployed
+# and the five-mode proptest replay (vm mode re-executes every deployed
 # program under the reference interpreter), all under -race.
 vm-smoke:
 	$(GO) test -race -count=1 ./internal/vm/ ./internal/semantic/
@@ -100,12 +101,12 @@ pprof-smoke:
 	$(GO) test -race -count=1 ./internal/diag/
 
 # ci is the documented pre-PR gate: static checks, the full build, a
-# fail-fast race pass over the parallel-executor packages followed by
+# fail-fast race pass over the ledger and market packages followed by
 # the full race-enabled test suite (including the telemetry
 # trace/log/health tests), a single-iteration smoke run of the ledger
-# block-pipeline, structured-log and parallel-execution benchmarks (the
-# parallel smoke asserts root equality with serial on every
-# configuration), the distributed-tracing self-test — the
+# block-pipeline, structured-log and block-execution benchmarks (the
+# execution smoke checks every iteration's state root against the
+# expected post-state), the distributed-tracing self-test — the
 # two-node stitching demo must verify end to end — a seeded chaos
 # smoke (the quick E15 subset drives the full workload lifecycle
 # through fault-injected client and server and must converge), the
@@ -124,7 +125,7 @@ ci: vet build
 	$(MAKE) race-core
 	$(GO) test -race ./...
 	$(GO) test -run NONE -bench 'BenchmarkImportBlock|BenchmarkMempool|BenchmarkLedger|BenchmarkLog' -benchtime=1x .
-	$(GO) test -run NONE -bench BenchmarkParallelExecute -benchtime=1x ./internal/ledger/
+	$(GO) test -run NONE -bench BenchmarkExecuteBlock -benchtime=1x ./internal/ledger/
 	$(GO) run ./cmd/pds2 trace -self-test
 	$(GO) run ./cmd/pds2-experiments -quick -telemetry=false -run E15
 	$(MAKE) proptest

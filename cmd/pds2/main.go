@@ -24,7 +24,7 @@
 // bundle from a running node's HTTP API — metrics snapshot and
 // history, logs, traces, runtime profiles, health and build identity,
 // indexed by a checksummed manifest — and verifies it; its -self-test
-// hosts a node in-process, drives parallel-execution traffic and
+// hosts a node in-process, drives sealing transfer traffic and
 // asserts the captured bundle proves the observability contract. The
 // compile subcommand is the offline policy toolchain: it compiles
 // contract-DSL source to a deployable pds2/bytecode/v1 artifact,
@@ -164,7 +164,7 @@ func runMetrics(args []string) {
 		samples   = fs.Int("samples", 200, "training examples per provider")
 		budget    = fs.Uint64("budget", 100_000, "escrowed reward budget")
 		seed      = fs.Uint64("seed", 1, "deterministic seed")
-		jsonOut   = fs.Bool("json", false, "emit the snapshot as JSON (the /metrics wire format)")
+		jsonOut   = fs.Bool("json", false, "emit the snapshot as JSON (the /v1/metrics wire format)")
 		showTrace = fs.Bool("trace", false, "also print the span tree")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -209,7 +209,7 @@ func runTrace(args []string) {
 		executors  = fs.Int("executors", 2, "number of executors")
 		samples    = fs.Int("samples", 200, "training examples per provider")
 		seed       = fs.Uint64("seed", 1, "deterministic seed")
-		jsonOut    = fs.Bool("json", false, "emit the raw spans as JSON (the /trace wire format)")
+		jsonOut    = fs.Bool("json", false, "emit the raw spans as JSON (the /v1/trace wire format)")
 		chromePath = fs.String("chrome", "", "write Chrome trace-event JSON (chrome://tracing, Perfetto) to this file")
 		selfTest   = fs.Bool("self-test", false, "run the two-node stitching demo and verify its invariants")
 	)

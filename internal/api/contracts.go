@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"pds2/internal/contract"
@@ -20,8 +19,7 @@ func (s *Server) handleDeployContract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var env TxEnvelope
-	if err := json.NewDecoder(r.Body).Decode(&env); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad envelope: %v", err)
+	if !decodeBody(w, r, &env, "envelope") {
 		return
 	}
 	args, err := s.decodeRegistryCall(env, "deployPolicy")

@@ -7,7 +7,6 @@
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -171,8 +170,7 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var env TxEnvelope
-	if err := json.NewDecoder(r.Body).Decode(&env); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad envelope: %v", err)
+	if !decodeBody(w, r, &env, "envelope") {
 		return
 	}
 	args, err := s.decodeRegistryCall(env, "registerData")
@@ -206,8 +204,7 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var env TxEnvelope
-	if err := json.NewDecoder(r.Body).Decode(&env); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad envelope: %v", err)
+	if !decodeBody(w, r, &env, "envelope") {
 		return
 	}
 	args, err := s.decodeRegistryCall(env, "setPolicy")

@@ -3,7 +3,6 @@ package api
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"pds2/internal/crypto"
 	"pds2/internal/market"
 	"pds2/internal/policy"
-	"pds2/internal/telemetry"
 )
 
 // TestDatasetAPILifecycle drives the full dataset surface through the
@@ -221,61 +219,6 @@ func TestRouteTableMatchesREADME(t *testing.T) {
 		entry := rt.Method + " " + rt.Path
 		if !strings.Contains(text, entry) {
 			t.Errorf("route %q is not documented in README.md", entry)
-		}
-	}
-}
-
-// TestV1OperationalAliases pins that the /v1/ spellings of the
-// operational endpoints behave exactly like the legacy paths — both the
-// happy path and the disabled-telemetry envelope.
-func TestV1OperationalAliases(t *testing.T) {
-	srv, _, _ := testServer(t, false)
-
-	fetch := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(body)
-	}
-
-	// Telemetry disabled: both spellings answer the same stable envelope.
-	telemetry.Disable()
-	for _, pair := range [][2]string{
-		{"/metrics", "/v1/metrics"},
-		{"/metrics/history", "/v1/metrics/history"},
-		{"/trace", "/v1/trace"},
-	} {
-		legacyCode, legacyBody := fetch(pair[0])
-		aliasCode, aliasBody := fetch(pair[1])
-		if legacyCode != http.StatusServiceUnavailable {
-			t.Fatalf("%s: code %d while telemetry disabled", pair[0], legacyCode)
-		}
-		if aliasCode != legacyCode || aliasBody != legacyBody {
-			t.Fatalf("%s (%d, %q) != %s (%d, %q)",
-				pair[1], aliasCode, aliasBody, pair[0], legacyCode, legacyBody)
-		}
-	}
-
-	// Telemetry enabled: the aliases serve the same payloads.
-	telemetry.Default().Reset()
-	telemetry.Enable()
-	defer telemetry.Disable()
-	for _, pair := range [][2]string{
-		{"/metrics", "/v1/metrics"},
-		{"/trace", "/v1/trace"},
-		{"/logs", "/v1/logs"},
-	} {
-		legacyCode, _ := fetch(pair[0])
-		aliasCode, _ := fetch(pair[1])
-		if legacyCode != http.StatusOK || aliasCode != http.StatusOK {
-			t.Fatalf("%s=%d %s=%d, want 200s", pair[0], legacyCode, pair[1], aliasCode)
 		}
 	}
 }

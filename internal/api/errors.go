@@ -49,6 +49,10 @@ const (
 	// burning its retry budget. No Retry-After hint is ever attached.
 	CodeDisabled = "disabled"
 
+	// CodeTooLarge: the request body exceeds maxBodyBytes. Not
+	// retryable: the same body is refused every time.
+	CodeTooLarge = "too_large"
+
 	// CodeTimeout: the per-request deadline expired server-side.
 	CodeTimeout = "timeout"
 

@@ -19,7 +19,7 @@ import (
 )
 
 // TestMetricsAndTraceDisabled pins the disabled-telemetry contract:
-// /metrics, /metrics/history and /trace answer 503 with the uniform
+// /v1/metrics, /v1/metrics/history and /v1/trace answer 503 with the uniform
 // JSON error envelope carrying the non-retryable "disabled" code and no
 // Retry-After hint — a configured-off subsystem never comes back on its
 // own, so clients must not burn retry budget on it — and never an
@@ -27,7 +27,7 @@ import (
 func TestMetricsAndTraceDisabled(t *testing.T) {
 	telemetry.Disable()
 	srv, _, _ := testServer(t, false)
-	for _, path := range []string{"/metrics", "/metrics/history", "/trace"} {
+	for _, path := range []string{"/v1/metrics", "/v1/metrics/history", "/v1/trace"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -269,7 +269,7 @@ func TestHealthChainstoreComponent(t *testing.T) {
 	}
 }
 
-// TestLogsEndpoint pins GET /logs: records retained by the process log
+// TestLogsEndpoint pins GET /v1/logs: records retained by the process log
 // come back oldest-first with component filtering.
 func TestLogsEndpoint(t *testing.T) {
 	l := telemetry.DefaultLog()
@@ -285,8 +285,8 @@ func TestLogsEndpoint(t *testing.T) {
 
 	srv, _, _ := testServer(t, false)
 	var out LogsResponse
-	if code := getJSON(t, srv.URL+"/logs", &out); code != http.StatusOK {
-		t.Fatalf("GET /logs: %d", code)
+	if code := getJSON(t, srv.URL+"/v1/logs", &out); code != http.StatusOK {
+		t.Fatalf("GET /v1/logs: %d", code)
 	}
 	// The API server itself logs requests at debug (filtered at info),
 	// so exactly the three seeded events are retained.
@@ -301,8 +301,8 @@ func TestLogsEndpoint(t *testing.T) {
 		t.Fatalf("order: %v", msgs)
 	}
 	var ledgerOnly LogsResponse
-	if code := getJSON(t, srv.URL+"/logs?component=ledger", &ledgerOnly); code != http.StatusOK {
-		t.Fatalf("GET /logs?component=ledger: %d", code)
+	if code := getJSON(t, srv.URL+"/v1/logs?component=ledger", &ledgerOnly); code != http.StatusOK {
+		t.Fatalf("GET /v1/logs?component=ledger: %d", code)
 	}
 	for _, e := range ledgerOnly.Events {
 		if e.Component != "ledger" {

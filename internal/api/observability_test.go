@@ -49,8 +49,8 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	var dump telemetry.HistoryDump
 	for time.Now().Before(deadline) {
-		if code := getJSON(t, srv.URL+"/metrics/history", &dump); code != http.StatusOK {
-			t.Fatalf("GET /metrics/history: %d", code)
+		if code := getJSON(t, srv.URL+"/v1/metrics/history", &dump); code != http.StatusOK {
+			t.Fatalf("GET /v1/metrics/history: %d", code)
 		}
 		if len(dump.Samples) >= 3 {
 			break
@@ -70,10 +70,10 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 
 	// The window parameter trims; a bogus one is a 400.
 	var windowed telemetry.HistoryDump
-	if code := getJSON(t, srv.URL+"/metrics/history?window=10m", &windowed); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/v1/metrics/history?window=10m", &windowed); code != http.StatusOK {
 		t.Fatalf("windowed GET: %d", code)
 	}
-	resp, err := http.Get(srv.URL + "/metrics/history?window=bogus")
+	resp, err := http.Get(srv.URL + "/v1/metrics/history?window=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMetricsHistoryDisabledRing(t *testing.T) {
 	telemetry.DisableHistory()
 
 	srv, _ := testServerHandle(t)
-	resp, err := http.Get(srv.URL + "/metrics/history")
+	resp, err := http.Get(srv.URL + "/v1/metrics/history")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestPprofGuard(t *testing.T) {
 	}
 }
 
-// TestClientTrace covers the typed /trace accessor.
+// TestClientTrace covers the typed /v1/trace accessor.
 func TestClientTrace(t *testing.T) {
 	telemetry.Default().Reset()
 	telemetry.Enable()

@@ -42,10 +42,7 @@ type route struct {
 }
 
 // routes returns the server's full route table — the single source of
-// truth for what this API serves. The /v1/ aliases of the operational
-// endpoints (/metrics, /metrics/history, /trace, /logs) are ordinary
-// rows sharing the legacy row's handler and flags, so both spellings
-// behave identically by construction.
+// truth for what this API serves.
 func (s *Server) routes() []route {
 	return []route{
 		{"GET", "/v1/status", 0, s.handleStatus},
@@ -66,13 +63,9 @@ func (s *Server) routes() []route {
 		{"POST", "/v1/views", 0, s.handleView},
 		{"POST", "/v1/blocks/seal", 0, s.handleSeal},
 		{"GET", "/v1/buildinfo", 0, s.handleBuildInfo},
-		{"GET", "/metrics", flagNeedsTelemetry, s.handleMetrics},
 		{"GET", "/v1/metrics", flagNeedsTelemetry, s.handleMetrics},
-		{"GET", "/metrics/history", flagNeedsTelemetry, s.handleMetricsHistory},
 		{"GET", "/v1/metrics/history", flagNeedsTelemetry, s.handleMetricsHistory},
-		{"GET", "/trace", flagNeedsTelemetry, s.handleTrace},
 		{"GET", "/v1/trace", flagNeedsTelemetry, s.handleTrace},
-		{"GET", "/logs", 0, s.handleLogs},
 		{"GET", "/v1/logs", 0, s.handleLogs},
 		{"GET", "/healthz", 0, s.handleHealthz},
 		{"GET", "/readyz", 0, s.handleReadyz},

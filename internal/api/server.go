@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -242,6 +243,34 @@ func deadlineExceeded(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	return false
+}
+
+// maxBodyBytes bounds every request body: a transaction carrying the
+// largest call data stateless verification admits (ledger.MaxTxDataBytes),
+// base64-expanded as encoding/json writes []byte, plus 64 KiB of slack
+// for the envelope's other fields.
+const maxBodyBytes = (ledger.MaxTxDataBytes+2)/3*4 + 64<<10
+
+// decodeBody reads at most maxBodyBytes of the request body and decodes
+// it as JSON into v. An oversized body is refused with 413 before any of
+// it is decoded; a malformed one with 400. It reports whether v holds
+// the decoded body.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeErr(w, http.StatusRequestEntityTooLarge, CodeTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+		} else {
+			writeErr(w, http.StatusBadRequest, CodeBadRequest, "read %s: %v", what, err)
+		}
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad %s: %v", what, err)
+		return false
+	}
+	return true
 }
 
 // StatusResponse is the GET /v1/status body.
@@ -533,8 +562,7 @@ func (s *Server) handleSubmitTx(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var tx ledger.Transaction
-	if err := json.NewDecoder(r.Body).Decode(&tx); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad transaction: %v", err)
+	if !decodeBody(w, r, &tx, "transaction") {
 		return
 	}
 	h := tx.Hash()
@@ -612,8 +640,7 @@ type ViewResponse struct {
 
 func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	var req ViewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "bad view request: %v", err)
+	if !decodeBody(w, r, &req, "view request") {
 		return
 	}
 	if req.Method == "" {
@@ -665,22 +692,22 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SealResponse{Height: block.Header.Height, Txs: len(block.Txs)})
 }
 
-// handleMetrics serves GET /metrics (alias GET /v1/metrics): a JSON
-// snapshot of the process-wide telemetry registry. Counters and gauges
-// report their current value; histograms add count/sum/min/max and
-// p50/p95/p99. When telemetry is disabled the snapshot would be a
-// misleading all-zeros, so the route's flagNeedsTelemetry gate answers
-// 503 with a stable JSON error instead.
+// handleMetrics serves GET /v1/metrics: a JSON snapshot of the
+// process-wide telemetry registry. Counters and gauges report their
+// current value; histograms add count/sum/min/max and p50/p95/p99.
+// When telemetry is disabled the snapshot would be a misleading
+// all-zeros, so the route's flagNeedsTelemetry gate answers 503 with a
+// stable JSON error instead.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, telemetry.Default().Snapshot())
 }
 
-// handleMetricsHistory serves GET /metrics/history (alias GET
-// /v1/metrics/history): the node's bounded ring of periodic registry
-// snapshots, turning every metric into a time series. ?window=5s trims
-// to the trailing window (a Go duration; omit or 0 for the whole ring).
-// Nodes that never enabled history answer the same non-retryable
-// disabled envelope as a disabled registry.
+// handleMetricsHistory serves GET /v1/metrics/history: the node's
+// bounded ring of periodic registry snapshots, turning every metric
+// into a time series. ?window=5s trims to the trailing window (a Go
+// duration; omit or 0 for the whole ring). Nodes that never enabled
+// history answer the same non-retryable disabled envelope as a disabled
+// registry.
 func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 	h := telemetry.DefaultHistory()
 	if h == nil {
@@ -699,15 +726,15 @@ func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.Dump(window))
 }
 
-// handleTrace serves GET /trace (alias GET /v1/trace): the finished
-// spans currently held in the tracer's ring buffer, oldest first, with
-// parent linkage intact. Like /metrics it answers 503 while telemetry
-// is disabled (flagNeedsTelemetry).
+// handleTrace serves GET /v1/trace: the finished spans currently held
+// in the tracer's ring buffer, oldest first, with parent linkage
+// intact. Like /v1/metrics it answers 503 while telemetry is disabled
+// (flagNeedsTelemetry).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, telemetry.Default().Tracer().Export())
 }
 
-// LogsResponse is the GET /logs page envelope. Next is a LogEvent.Seq
+// LogsResponse is the GET /v1/logs page envelope. Next is a LogEvent.Seq
 // cursor for the following page, empty on the last one.
 type LogsResponse struct {
 	Components []string             `json:"components"`
@@ -715,7 +742,7 @@ type LogsResponse struct {
 	Next       string               `json:"next,omitempty"`
 }
 
-// handleLogs serves GET /logs: the structured-log ring, oldest first.
+// handleLogs serves GET /v1/logs: the structured-log ring, oldest first.
 // ?component=X filters to one component; the ring itself is always
 // served — an all-off log simply has no events. Pagination cursors are
 // record sequence numbers, which survive ring eviction: a page after

@@ -85,7 +85,7 @@ func CallData(method string, args []byte) []byte {
 
 // Apply implements ledger.TxApplier: it routes contract creations and
 // calls, and falls back to a plain transfer for ordinary destinations.
-func (r *Runtime) Apply(st ledger.StateAccessor, tx *ledger.Transaction, height uint64) (*ledger.Receipt, error) {
+func (r *Runtime) Apply(st *ledger.State, tx *ledger.Transaction, height uint64) (*ledger.Receipt, error) {
 	isCall := !tx.IsContractCreation() && len(st.GetStorage(tx.To, codeKey)) > 0
 	if !tx.IsContractCreation() && !isCall {
 		return ledger.TransferApplier{}.Apply(st, tx, height)
@@ -193,7 +193,7 @@ func (r *Runtime) Apply(st ledger.StateAccessor, tx *ledger.Transaction, height 
 
 // call runs a (possibly nested) contract method. value moves from caller
 // to callee before execution. On error, all callee effects are reverted.
-func (r *Runtime) call(st ledger.StateAccessor, caller, origin, to identity.Address, method string, args []byte, value uint64, height uint64, gasLeft *uint64, events *[]ledger.Event, depth int) ([]byte, error) {
+func (r *Runtime) call(st *ledger.State, caller, origin, to identity.Address, method string, args []byte, value uint64, height uint64, gasLeft *uint64, events *[]ledger.Event, depth int) ([]byte, error) {
 	code, err := r.codeAt(st, to)
 	if err != nil {
 		return nil, err
@@ -224,7 +224,7 @@ func (r *Runtime) call(st ledger.StateAccessor, caller, origin, to identity.Addr
 }
 
 // callStatic runs a method with all mutations disabled.
-func (r *Runtime) callStatic(st ledger.StateAccessor, caller, origin, to identity.Address, method string, args []byte, height uint64, gasLeft *uint64, depth int) ([]byte, error) {
+func (r *Runtime) callStatic(st *ledger.State, caller, origin, to identity.Address, method string, args []byte, height uint64, gasLeft *uint64, depth int) ([]byte, error) {
 	code, err := r.codeAt(st, to)
 	if err != nil {
 		return nil, err
@@ -240,7 +240,7 @@ func (r *Runtime) callStatic(st ledger.StateAccessor, caller, origin, to identit
 	return code.Call(ctx, method, args)
 }
 
-func (r *Runtime) codeAt(st ledger.StateAccessor, addr identity.Address) (Contract, error) {
+func (r *Runtime) codeAt(st *ledger.State, addr identity.Address) (Contract, error) {
 	name := st.GetStorage(addr, codeKey)
 	if len(name) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNotContract, addr.Short())
@@ -259,7 +259,7 @@ const ViewGasLimit uint64 = 50_000_000
 // View executes a read-only method against the current state without a
 // transaction. Any state the method tries to write causes a revert; the
 // state is always left untouched.
-func (r *Runtime) View(st ledger.StateAccessor, caller, to identity.Address, method string, args []byte) ([]byte, error) {
+func (r *Runtime) View(st *ledger.State, caller, to identity.Address, method string, args []byte) ([]byte, error) {
 	gasLeft := ViewGasLimit
 	snap := st.Snapshot()
 	defer st.RevertTo(snap)

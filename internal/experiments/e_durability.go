@@ -32,7 +32,7 @@ func E17Durability(quick bool) Table {
 			"a node must survive restarts without losing committed state while sustaining traffic",
 		Columns: []string{"scenario", "accounts", "offered/s", "committed tx/s", "p99 transfer (ms)", "errors", "blocks", "outcome"},
 	}
-	// The load harness reads throughput from /metrics, which answers
+	// The load harness reads throughput from /v1/metrics, which answers
 	// 503 while telemetry is off (the experiments CLI may run with
 	// -telemetry=false; that flag governs the printed summaries, not
 	// whether this experiment can measure).

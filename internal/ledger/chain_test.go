@@ -197,7 +197,7 @@ type countingApplier struct {
 	counts map[crypto.Digest]int
 }
 
-func (a *countingApplier) Apply(st StateAccessor, tx *Transaction, height uint64) (*Receipt, error) {
+func (a *countingApplier) Apply(st *State, tx *Transaction, height uint64) (*Receipt, error) {
 	a.counts[tx.Hash()]++
 	return a.inner.Apply(st, tx, height)
 }

@@ -298,3 +298,87 @@ func TestMempoolBatchLimit(t *testing.T) {
 		t.Fatalf("batch size = %d, want 3", got)
 	}
 }
+
+// TestMempoolNextBatchEvictsOvergasPoison pins the poison-tx fix at the
+// mempool layer: a transaction whose intrinsic gas exceeds the block
+// budget is evicted during batch building instead of wedging selection.
+func TestMempoolNextBatchEvictsOvergasPoison(t *testing.T) {
+	st := NewState()
+	pool := NewMempool(0)
+	alice, bob := testIdentity(1), testIdentity(2)
+	st.SetBalance(alice.Address(), 1_000_000)
+	st.SetBalance(bob.Address(), 1_000_000)
+	st.Commit()
+
+	// 2kB payload: intrinsic gas 21000 + 16*2048 = 53768 > 50k budget.
+	poison := SignTx(alice, bob.Address(), 1, 0, 100_000, make([]byte, 2048))
+	follow := SignTx(alice, bob.Address(), 1, 1, 100_000, nil)
+	ok := SignTx(bob, alice.Address(), 1, 0, 100_000, nil)
+	for _, tx := range []*Transaction{poison, follow, ok} {
+		if err := pool.Add(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := pool.NextBatch(st, 100, 50_000)
+	if len(batch) != 1 || batch[0].Hash() != ok.Hash() {
+		t.Fatalf("batch should hold only the healthy tx, got %d txs", len(batch))
+	}
+	if pool.Contains(poison.Hash()) {
+		t.Fatal("poison tx survived NextBatch")
+	}
+	if !pool.Contains(follow.Hash()) {
+		t.Fatal("poison eviction must not drop the sender's later (gapped) tx")
+	}
+}
+
+// TestMempoolNextBatchGasAware pins declared-floor packing: batches cut
+// at the gas budget, remainder stays pooled, and packing never splits a
+// sender's nonce chain in a way that strands executable transactions.
+func TestMempoolNextBatchGasAware(t *testing.T) {
+	st := NewState()
+	pool := NewMempool(0)
+	const n = 10
+	ids := make([]*identity.Identity, n)
+	for i := range ids {
+		ids[i] = testIdentity(uint64(i))
+		st.SetBalance(ids[i].Address(), 1_000_000)
+	}
+	st.Commit()
+	for _, id := range ids {
+		if err := pool.Add(SignTx(id, ids[0].Address(), 1, 0, 100_000, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Budget for exactly four 21k-intrinsic transfers.
+	batch := pool.NextBatch(st, 100, 4*21_000)
+	if len(batch) != 4 {
+		t.Fatalf("gas-aware batch took %d txs, want 4", len(batch))
+	}
+	if pool.Len() != n {
+		t.Fatalf("selection must not evict fitting txs: pool has %d of %d", pool.Len(), n)
+	}
+	// Unlimited budget takes everything.
+	if got := len(pool.NextBatch(st, 100, 0)); got != n {
+		t.Fatalf("unlimited budget took %d txs, want %d", got, n)
+	}
+}
+
+// TestEvictOvergas pins the seal path's defense-in-depth hook.
+func TestEvictOvergas(t *testing.T) {
+	pool := NewMempool(0)
+	alice := testIdentity(1)
+	var to identity.Address
+	tx := SignTx(alice, to, 1, 0, 100_000, nil)
+	if err := pool.Add(tx); err != nil {
+		t.Fatal(err)
+	}
+	if !pool.EvictOvergas(tx) {
+		t.Fatal("EvictOvergas should report the eviction")
+	}
+	if pool.Contains(tx.Hash()) || pool.Len() != 0 {
+		t.Fatal("tx survived EvictOvergas")
+	}
+	if pool.EvictOvergas(tx) {
+		t.Fatal("second eviction should report false")
+	}
+}

@@ -9,7 +9,7 @@
 //
 // Latency per traffic class is observed into the process-wide telemetry
 // histograms ("loadgen.<class>_seconds"), committed throughput is read
-// from the node's own ledger counters over GET /metrics, and the run is
+// from the node's own ledger counters over GET /v1/metrics, and the run is
 // judged against SLO thresholds. Results serialize as a BENCH_<date>.json
 // report that scripts/bench_compare.sh diffs across commits.
 //

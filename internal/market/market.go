@@ -55,14 +55,6 @@ type Config struct {
 	// selects ledger.DefaultBlockGasLimit. Load rigs raise it so
 	// block packing, not an artificial gas ceiling, bounds throughput.
 	BlockGasLimit uint64
-
-	// ExecWorkers bounds the ledger's optimistic parallel-execution
-	// worker pool; 0 selects GOMAXPROCS, 1 forces serial execution.
-	ExecWorkers int
-
-	// ParallelMinBatch is the smallest block routed through the
-	// parallel executor; 0 selects the ledger default.
-	ParallelMinBatch int
 }
 
 // Market is one deployment of the PDS² governance layer: a
@@ -125,12 +117,10 @@ func New(cfg Config) (*Market, error) {
 		}
 	}
 	chain, err := ledger.NewChain(ledger.ChainConfig{
-		Authorities:      addrs,
-		BlockGasLimit:    cfg.BlockGasLimit,
-		Applier:          rt,
-		GenesisAlloc:     alloc,
-		ExecWorkers:      cfg.ExecWorkers,
-		ParallelMinBatch: cfg.ParallelMinBatch,
+		Authorities:   addrs,
+		BlockGasLimit: cfg.BlockGasLimit,
+		Applier:       rt,
+		GenesisAlloc:  alloc,
 	})
 	if err != nil {
 		return nil, err

@@ -74,15 +74,14 @@ func TestSealBlockEvictsPoisonOvergasTx(t *testing.T) {
 	}
 }
 
-// TestConcurrentParallelImportSubmitSealRace stress-tests the parallel
-// executor's concurrency contract under the race detector: a sealing
-// node runs every block through the optimistic scheduler while API
-// producers admit transactions through the lock-free Pool.Add fast
-// path, unlocked readers walk the sharded state, and a follower node
-// imports every sealed block — its import re-executes blocks through
-// its own parallel scheduler concurrently with the sealer's. The two
-// replicas must converge to the same root.
-func TestConcurrentParallelImportSubmitSealRace(t *testing.T) {
+// TestConcurrentImportSubmitSealRace stress-tests the state's
+// concurrency contract under the race detector: a sealing node executes
+// every block while API producers admit transactions through the
+// lock-free Pool.Add fast path, unlocked readers read the live state,
+// and a follower node imports every sealed block — re-executing it
+// concurrently with the sealer's own execution. The two replicas must
+// converge to the same root.
+func TestConcurrentImportSubmitSealRace(t *testing.T) {
 	const (
 		producers   = 6
 		txsPerActor = 50
@@ -97,11 +96,9 @@ func TestConcurrentParallelImportSubmitSealRace(t *testing.T) {
 		alloc[senders[i].Address()] = 1_000_000
 	}
 	cfg := Config{
-		Seed:             7777,
-		GenesisAlloc:     alloc,
-		Authorities:      []*identity.Identity{authority},
-		ExecWorkers:      8, // explicit: GOMAXPROCS may be 1 in CI
-		ParallelMinBatch: 1, // route even tiny blocks through the scheduler
+		Seed:         7777,
+		GenesisAlloc: alloc,
+		Authorities:  []*identity.Identity{authority},
 	}
 	m, err := New(cfg)
 	if err != nil {
@@ -151,8 +148,7 @@ func TestConcurrentParallelImportSubmitSealRace(t *testing.T) {
 		}(senders[i])
 	}
 
-	// Sealer: every non-empty block runs the parallel scheduler; each
-	// sealed block streams to the follower.
+	// Sealer: each sealed block streams to the follower.
 	helpersWG.Add(1)
 	go func() {
 		defer helpersWG.Done()
@@ -180,8 +176,8 @@ func TestConcurrentParallelImportSubmitSealRace(t *testing.T) {
 		}
 	}()
 
-	// Follower: parallel-imports the sealed stream concurrently with the
-	// sealer's own parallel execution.
+	// Follower: imports the sealed stream concurrently with the
+	// sealer's own execution.
 	helpersWG.Add(1)
 	go func() {
 		defer helpersWG.Done()
@@ -193,7 +189,7 @@ func TestConcurrentParallelImportSubmitSealRace(t *testing.T) {
 		}
 	}()
 
-	// Readers: concurrent sharded-state reads against live execution —
+	// Readers: concurrent state reads against live execution —
 	// explicitly allowed by the state's concurrency contract.
 	for i := 0; i < 2; i++ {
 		helpersWG.Add(1)

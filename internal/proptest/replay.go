@@ -17,7 +17,7 @@ import (
 )
 
 // The differential replay oracle: every generated chain is executed
-// six independent ways and any divergence — in acceptance, in height,
+// five independent ways and any divergence — in acceptance, in height,
 // or in final state root — is a correctness failure of the ledger's
 // import pipeline.
 //
@@ -30,9 +30,6 @@ import (
 //	           mid-run (deterministic kill/restart schedule, torn bytes
 //	           appended to the log to simulate a crash mid-write) and
 //	           reopened from snapshot + log tail each time
-//	parallel — serial and parallel-executor replicas importing in
-//	           lockstep, compared block-by-block on receipts and event
-//	           order on top of ImportBlock's own root check
 //	vm       — a bytecode-VM replica and a reference-interpreter replica
 //	           (deployed policy programs re-executed from embedded
 //	           source by the tree-walking oracle) importing in lockstep,
@@ -83,24 +80,6 @@ func freshReplica(exp *ledger.ChainExport) (*ledger.Chain, error) {
 		BlockGasLimit: exp.BlockGasLimit,
 		GenesisAlloc:  exp.GenesisAlloc,
 		Applier:       rt,
-	})
-}
-
-// parallelReplica is freshReplica with the optimistic parallel executor
-// forced on: 8 workers regardless of GOMAXPROCS and a minimum batch of
-// one, so every block — however small — runs through the scheduler.
-func parallelReplica(exp *ledger.ChainExport) (*ledger.Chain, error) {
-	rt, err := MarketRuntime()
-	if err != nil {
-		return nil, err
-	}
-	return ledger.NewChain(ledger.ChainConfig{
-		Authorities:      exp.Authorities,
-		BlockGasLimit:    exp.BlockGasLimit,
-		GenesisAlloc:     exp.GenesisAlloc,
-		Applier:          rt,
-		ExecWorkers:      8,
-		ParallelMinBatch: 1,
 	})
 }
 
@@ -335,64 +314,6 @@ func tearActiveSegment(dir string) error {
 	return err
 }
 
-// runParallelMode replays the chain through the optimistic parallel
-// executor, importing every block into a serial replica and a parallel
-// replica in lockstep. ImportBlock already rejects any state-root or
-// gas divergence against the header; on top of that, this mode asserts
-// after every block that the two replicas agree on each transaction's
-// receipt and on the cumulative event log — order included. A scheduler
-// that commits out of order, loses a conflict, or rewrites an error
-// message diverges here even if the state root happens to survive.
-func runParallelMode(data []byte) ModeResult {
-	res := ModeResult{Mode: "parallel"}
-	exp, err := decodeExport(data)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	serial, err := freshReplica(exp)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	par, err := parallelReplica(exp)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	fail := func(b *ledger.Block, err error) ModeResult {
-		res.Err = err
-		res.FailedAt = b.Header.Height
-		res.Height = par.Height()
-		res.Root = par.State().Root()
-		return res
-	}
-	for _, b := range exp.Blocks {
-		serr, perr := serial.ImportBlock(b), par.ImportBlock(b)
-		if (serr == nil) != (perr == nil) {
-			return fail(b, fmt.Errorf("proptest: serial/parallel acceptance split: serial %v, parallel %v", serr, perr))
-		}
-		if perr != nil {
-			return fail(b, perr)
-		}
-		for _, tx := range b.Txs {
-			sr, sok := serial.Receipt(tx.Hash())
-			pr, pok := par.Receipt(tx.Hash())
-			if !sok || !pok || !reflect.DeepEqual(sr, pr) {
-				return fail(b, fmt.Errorf("proptest: receipt divergence for tx %s: serial %+v, parallel %+v",
-					tx.Hash().Short(), sr, pr))
-			}
-		}
-		if sev, pev := serial.Events(""), par.Events(""); !reflect.DeepEqual(sev, pev) {
-			return fail(b, fmt.Errorf("proptest: event-log divergence at height %d: serial %d events, parallel %d",
-				b.Header.Height, len(sev), len(pev)))
-		}
-	}
-	res.Height = par.Height()
-	res.Root = par.State().Root()
-	return res
-}
-
 // runVMMode replays the chain on a replica whose registry runs deployed
 // policy programs through the reference tree-walking evaluator instead
 // of the bytecode VM, importing in lockstep with a normal (VM) replica.
@@ -460,14 +381,13 @@ func runVMMode(data []byte) ModeResult {
 	return res
 }
 
-// RunReplayModes executes an exported chain through all six modes.
+// RunReplayModes executes an exported chain through all five modes.
 func RunReplayModes(data []byte) []ModeResult {
 	return []ModeResult{
 		runImportMode(data),
 		runAuditMode(data),
 		runReplayMode(data),
 		runPersistMode(data),
-		runParallelMode(data),
 		runVMMode(data),
 	}
 }

@@ -9,9 +9,9 @@ import (
 // time series: a fixed-interval ring of full registry snapshots, each
 // stamped with the node name and sample time. With it, "what was the
 // mempool depth / conflict rate / fsync p99 during that 30-second chaos
-// run" is answerable after the fact — the question a lone /metrics
+// run" is answerable after the fact — the question a lone /v1/metrics
 // snapshot cannot answer. The ring is bounded, so history is always
-// safe to leave on; the API serves it at GET /metrics/history and the
+// safe to leave on; the API serves it at GET /v1/metrics/history and the
 // Collector merges rings from many nodes into per-node series.
 type History struct {
 	r        *Registry
@@ -169,7 +169,7 @@ func (h *History) Window(d time.Duration) []HistorySample {
 	return []HistorySample{}
 }
 
-// HistoryDump is the GET /metrics/history wire format: the ring (or a
+// HistoryDump is the GET /v1/metrics/history wire format: the ring (or a
 // trailing window of it) plus the sampling parameters a reader needs to
 // interpret gaps.
 type HistoryDump struct {
@@ -248,7 +248,7 @@ func EnableHistory(interval time.Duration, capacity int) *History {
 	return stdHist
 }
 
-// DisableHistory stops and detaches the default history. The /metrics/
+// DisableHistory stops and detaches the default history. The /v1/metrics/
 // history endpoint answers 503 afterwards.
 func DisableHistory() {
 	stdHistMu.Lock()

@@ -136,7 +136,7 @@ type LogField struct {
 	V string `json:"v"`
 }
 
-// LogEvent is one retained structured-log record — the GET /logs wire
+// LogEvent is one retained structured-log record — the GET /v1/logs wire
 // element.
 type LogEvent struct {
 	// Seq numbers records monotonically from 1 for the life of the
