@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-core vet bench proptest fuzz covgate load-smoke bench-compare diag-selftest pprof-smoke policy-smoke vm-smoke ci
+.PHONY: build test race race-core vet vet-govbench fmt-check bench proptest fuzz covgate load-smoke bench-compare diag-selftest pprof-smoke policy-smoke vm-smoke ci
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,17 @@ race-core:
 
 vet:
 	$(GO) vet ./...
+
+# vet-govbench type-checks the benchmark harness, a separate module the
+# root build never compiles, against the chainstore, market, ledger and
+# loadgen APIs it imports. It runs offline (the module has no external
+# dependencies).
+vet-govbench:
+	cd govbench && $(GO) vet ./...
+
+# fmt-check fails, listing the files, if any Go file is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./...
@@ -100,7 +111,8 @@ pprof-smoke:
 	$(GO) test -race -count=1 ./internal/api/ -run 'TestPprof|TestMetricsHistory|TestMetricsAndTraceDisabled'
 	$(GO) test -race -count=1 ./internal/diag/
 
-# ci is the documented pre-PR gate: static checks, the full build, a
+# ci is the documented pre-PR gate: static checks (go vet over the root
+# module and the govbench module, and a gofmt gate), the full build, a
 # fail-fast race pass over the ledger and market packages followed by
 # the full race-enabled test suite (including the telemetry
 # trace/log/health tests), a single-iteration smoke run of the ledger
@@ -121,7 +133,7 @@ pprof-smoke:
 # parseable and component-labeled), a 30-second open-loop load smoke
 # against a self-hosted node (SLO-gated), the BENCH_*.json regression
 # diff, and the coverage ratchet.
-ci: vet build
+ci: vet vet-govbench fmt-check build
 	$(MAKE) race-core
 	$(GO) test -race ./...
 	$(GO) test -run NONE -bench 'BenchmarkImportBlock|BenchmarkMempool|BenchmarkLedger|BenchmarkLog' -benchtime=1x .

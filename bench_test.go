@@ -179,8 +179,8 @@ func BenchmarkImportBlock(b *testing.B) {
 // serial single-exec import pipeline with telemetry enabled, with and
 // without the 250ms history ring snapshotting the registry in the
 // background. The tx/s delta is the history overhead; it must stay
-// under 1% (snapshots take only the shard read-locks, never blocking
-// the record path, and fire 4×/s regardless of import rate).
+// under 1% (snapshots take only the registry's read lock, never
+// blocking the record path, and fire 4×/s regardless of import rate).
 func BenchmarkImportBlockHistory(b *testing.B) {
 	telemetry.Enable()
 	defer telemetry.Disable()

@@ -148,7 +148,7 @@ func main() {
 
 // selfHost starts an in-process node on a loopback listener with the
 // loadgen population funded at genesis, mirroring pds2-node's wiring
-// (durable store, auto-sealer through the API).
+// (durable store, in-process sealer).
 func selfHost(ctx context.Context, seed uint64, accounts int, fundEach uint64,
 	blockMS int, blockGas uint64, mempool int, dataDir string, snapEvery uint64) (string, func(), error) {
 
@@ -156,7 +156,7 @@ func selfHost(ctx context.Context, seed uint64, accounts int, fundEach uint64,
 	var store *chainstore.Store
 	if dataDir != "" {
 		var err error
-		store, err = chainstore.Open(dataDir, nil)
+		store, err = chainstore.Open(dataDir, &chainstore.Options{SnapshotEvery: snapEvery})
 		if err != nil {
 			return "", nil, err
 		}
@@ -178,34 +178,21 @@ func selfHost(ctx context.Context, seed uint64, accounts int, fundEach uint64,
 	}
 	if store != nil {
 		log.Printf("chain store %s: resumed at height %d (base %d)", dataDir, m.Height(), m.Chain.Base())
-		store.AttachSnapshotting(m.Chain, snapEvery)
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: api.NewServer(m, true)}
+	srv := api.NewServer(m, true)
+	hs := &http.Server{Handler: srv}
 	go func() { _ = hs.Serve(ln) }()
-	baseURL := "http://" + ln.Addr().String()
 
 	sealCtx, cancel := context.WithCancel(ctx)
+	sealerDone := make(chan struct{})
 	go func() {
-		client := api.NewClient(baseURL)
-		tick := time.NewTicker(time.Duration(blockMS) * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-sealCtx.Done():
-				return
-			case <-tick.C:
-			}
-			if st, err := client.Status(sealCtx); err == nil && st.Pending > 0 {
-				if _, err := client.Seal(sealCtx); err != nil && sealCtx.Err() == nil {
-					log.Printf("auto-seal: %v", err)
-				}
-			}
-		}
+		defer close(sealerDone)
+		srv.SealEvery(sealCtx, time.Duration(blockMS)*time.Millisecond)
 	}()
 
 	stop := func() {
@@ -213,11 +200,12 @@ func selfHost(ctx context.Context, seed uint64, accounts int, fundEach uint64,
 		shutCtx, done := context.WithTimeout(context.Background(), 2*time.Second)
 		defer done()
 		_ = hs.Shutdown(shutCtx)
+		<-sealerDone
 		if store != nil {
 			_ = store.Close()
 		}
 	}
-	return baseURL, stop, nil
+	return "http://" + ln.Addr().String(), stop, nil
 }
 
 func fatalf(format string, args ...any) {

@@ -1,7 +1,7 @@
 // Command pds2-node runs a PDS² governance node: a proof-of-authority
 // chain with the platform contracts deployed, served over the HTTP API
-// of internal/api. Blocks are sealed automatically at a fixed interval
-// when transactions are pending.
+// of internal/api. The node seals its own blocks in-process
+// (api.Server.SealEvery) every -block-ms while transactions are pending.
 //
 // Usage:
 //
@@ -104,7 +104,7 @@ func main() {
 	}
 	telemetry.DefaultLog().SetOutput(os.Stderr)
 	if *nodeID == "" {
-		*nodeID = listenHost(*listen)
+		*nodeID = *listen
 	}
 	telemetry.SetNode(*nodeID)
 	telemetry.SetProfileRates(*mutexFrac, *blockRate)
@@ -146,7 +146,7 @@ func main() {
 	var store *chainstore.Store
 	if *dataDir != "" {
 		var err error
-		store, err = chainstore.Open(*dataDir, nil)
+		store, err = chainstore.Open(*dataDir, &chainstore.Options{SnapshotEvery: *snapEvery})
 		if err != nil {
 			fatalf("open chain store: %v", err)
 		}
@@ -160,7 +160,6 @@ func main() {
 	}
 	if store != nil {
 		log.Printf("chain store %s: resumed at height %d (base %d)", *dataDir, m.Height(), m.Chain.Base())
-		store.AttachSnapshotting(m.Chain, *snapEvery)
 	}
 	srv := api.NewServer(m, true)
 	srv.SetPprof(*pprofOn)
@@ -168,26 +167,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *blockMS > 0 {
-		go func() {
-			client := api.NewClient("http://" + listenHost(*listen))
-			tick := time.NewTicker(time.Duration(*blockMS) * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-				}
-				// Seal through the API so locking is uniform.
-				if st, err := client.Status(ctx); err == nil && st.Pending > 0 {
-					if _, err := client.Seal(ctx); err != nil && ctx.Err() == nil {
-						log.Printf("auto-seal: %v", err)
-					}
-				}
-			}
-		}()
-	}
+	sealerDone := make(chan struct{})
+	go func() {
+		defer close(sealerDone)
+		if *blockMS > 0 {
+			srv.SealEvery(ctx, time.Duration(*blockMS)*time.Millisecond)
+		}
+	}()
 
 	// The write timeout caps how long a timed CPU profile can run
 	// (/debug/pprof/profile?seconds=N streams after N seconds), so give
@@ -226,20 +212,13 @@ func main() {
 	if err := hs.Shutdown(sctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("shutdown: %v", err)
 	}
+	<-sealerDone // the last seal's append lands before the store closes
 	if store != nil {
 		if err := store.Close(); err != nil {
 			log.Printf("close chain store: %v", err)
 		}
 	}
 	log.Printf("pds2-node stopped at height %d", m.Height())
-}
-
-// listenHost normalizes ":8547" to "localhost:8547" for the self-client.
-func listenHost(listen string) string {
-	if strings.HasPrefix(listen, ":") {
-		return "localhost" + listen
-	}
-	return listen
 }
 
 func fatalf(format string, args ...any) {

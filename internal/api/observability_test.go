@@ -39,11 +39,14 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 	telemetry.Default().Reset()
 	telemetry.Enable()
 	defer telemetry.Disable()
-	telemetry.EnableHistory(2*time.Millisecond, 256)
-	defer telemetry.DisableHistory()
 
+	// Build the market before the ring starts: its setup seals move the
+	// mempool depth gauge, and a sample taken then would end the series
+	// on a stale depth.
 	srv, _ := testServerHandle(t)
 	telemetry.G("ledger.mempool.depth").Set(7)
+	telemetry.EnableHistory(2*time.Millisecond, 256)
+	defer telemetry.DisableHistory()
 
 	// Wait for the ring to accumulate a few ticks.
 	deadline := time.Now().Add(2 * time.Second)

@@ -12,6 +12,7 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -100,9 +101,9 @@ func NewServer(m *market.Market, allowSeal bool) *Server {
 		// that can no longer persist what it seals.
 		s.health.Register("chainstore", st.Health)
 	}
-	// Every endpoint — including the /debug/pprof/ surface and the /v1/
-	// aliases of the operational routes — registers through the
-	// declarative route table (see routes.go).
+	// Every endpoint — the /v1/ API, the health probes and the guarded
+	// /debug/pprof/ surface — registers through the declarative route
+	// table (see routes.go).
 	s.install()
 	return s
 }
@@ -286,9 +287,9 @@ type StatusResponse struct {
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	wls, err := s.m.Workloads()
+	workloads, err := s.m.WorkloadCount()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, CodeInternal, "list workloads: %v", err)
+		writeErr(w, http.StatusInternalServerError, CodeInternal, "count workloads: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, StatusResponse{
@@ -296,7 +297,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Registry:  s.m.Registry,
 		Deeds:     s.m.Deeds,
 		QAPub:     s.m.QA.PublicKey(),
-		Workloads: len(wls),
+		Workloads: int(workloads),
 		Pending:   s.m.Pool.Len(),
 	})
 }
@@ -671,6 +672,18 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 	if deadlineExceeded(w, r) {
 		return
 	}
+	block, err := s.seal()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, CodeInternal, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, SealResponse{Height: block.Header.Height, Txs: len(block.Txs)})
+}
+
+// seal packs the pending pool into one block under the market lock. It
+// is the single seal path behind both POST /v1/blocks/seal and
+// SealEvery, so the clock-skew chaos hook applies to either.
+func (s *Server) seal() (*ledger.Block, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ts := s.m.Timestamp() + 1
@@ -684,12 +697,30 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 			ts = 0
 		}
 	}
-	block, err := s.m.SealBlockAt(ts)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		return
+	return s.m.SealBlockAt(ts)
+}
+
+// SealEvery is the node's block producer: on every tick of interval it
+// seals the pending pool into a block, skipping ticks while the pool is
+// empty. It blocks until ctx is done and returns only after its last
+// seal has finished, so once it returns the caller may close the chain
+// store. A failed seal is logged and retried on the next tick.
+func (s *Server) SealEvery(ctx context.Context, interval time.Duration) {
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+		}
+		if s.m.Pool.Len() == 0 {
+			continue
+		}
+		if _, err := s.seal(); err != nil {
+			logAPI.Warn("auto-seal failed", telemetry.Err(err))
+		}
 	}
-	writeJSON(w, http.StatusOK, SealResponse{Height: block.Header.Height, Txs: len(block.Txs)})
 }
 
 // handleMetrics serves GET /v1/metrics: a JSON snapshot of the

@@ -63,6 +63,38 @@ func TestStatus(t *testing.T) {
 	}
 }
 
+// TestStatusCountsWorkloads pins the workloads field of /v1/status to
+// the number of workloads in the registry.
+func TestStatusCountsWorkloads(t *testing.T) {
+	srv, m, user := testServer(t, false)
+	consumer, err := market.NewConsumer(m, user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := market.TrainerParams{Dim: 4, Epochs: 1, Lambda: 1e-3}
+	for want := 0; want <= 2; want++ {
+		var st StatusResponse
+		if code := getJSON(t, srv.URL+"/v1/status", &st); code != http.StatusOK {
+			t.Fatalf("status code %d", code)
+		}
+		if st.Workloads != want {
+			t.Fatalf("status workloads = %d, want %d", st.Workloads, want)
+		}
+		_, err := consumer.SubmitWorkload(&market.Spec{
+			Predicate:    `category isa "sensor"`,
+			MinProviders: 1,
+			MinItems:     1,
+			ExpiryHeight: m.Height() + 1000,
+			Measurement:  market.TrainerMeasurement(params.Encode()),
+			QAPub:        m.QA.PublicKey(),
+			Params:       params.Encode(),
+		}, 5_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestAccountLookup(t *testing.T) {
 	srv, _, user := testServer(t, false)
 	var acct AccountResponse

@@ -25,40 +25,31 @@ func (s *Store) InitChain(chain *ledger.Chain) error {
 			return err
 		}
 	}
-	s.Attach(chain)
+	s.observe(chain)
 	return nil
 }
 
-// Attach installs the store as the chain's commit observer. Append
-// failures cannot veto an already-committed block, so they surface
-// through the store's health check (unhealthy until a later durable
-// write succeeds) rather than through the seal path — the documented
-// durability contract is at-most-one-block loss on a torn write, which
-// crash-truncation recovery then discards on reopen.
-func (s *Store) Attach(chain *ledger.Chain) {
-	chain.SetOnCommit(func(b *ledger.Block) {
-		_ = s.Append(b) // error recorded by fail(); surfaced via Health
-	})
-}
-
-// AttachSnapshotting is Attach plus a periodic snapshot policy: after
-// every `every` appended blocks the chain's full state is snapshotted,
-// old snapshots and fully-covered log segments are pruned, and the next
+// observe installs the store as the chain's only commit observer. Every
+// committed block is appended; with Options.SnapshotEvery set, every
+// N-th block after this call also snapshots the chain's full state,
+// which prunes old snapshots and fully-covered log segments so the next
 // open resumes from "snapshot + tail" instead of genesis. The hook runs
 // on the committing goroutine while the chain is quiescent, so
-// ExportSnapshot observes a consistent state. every == 0 disables the
-// policy (plain Attach).
-func (s *Store) AttachSnapshotting(chain *ledger.Chain, every uint64) {
-	if every == 0 {
-		s.Attach(chain)
-		return
-	}
+// ExportSnapshot observes a consistent state.
+//
+// Append failures cannot veto an already-committed block, so they
+// surface through the store's health check (unhealthy until a later
+// durable write succeeds) rather than through the seal path — the
+// documented durability contract is at-most-one-block loss on a torn
+// write, which crash-truncation recovery then discards on reopen.
+func (s *Store) observe(chain *ledger.Chain) {
+	every := s.opts.SnapshotEvery
 	last := chain.Height()
 	chain.SetOnCommit(func(b *ledger.Block) {
 		if err := s.Append(b); err != nil {
 			return // recorded by fail(); surfaced via Health
 		}
-		if b.Header.Height >= last+every {
+		if every > 0 && b.Header.Height >= last+every {
 			if err := s.WriteSnapshot(chain.ExportSnapshot()); err == nil {
 				last = b.Header.Height
 			}
@@ -68,19 +59,19 @@ func (s *Store) AttachSnapshotting(chain *ledger.Chain, every uint64) {
 
 // OpenChain rebuilds a chain from the store: newest valid snapshot (if
 // any) plus the tail of the log, every tail block re-validated through
-// the normal import path. The returned chain is attached to the store,
-// so subsequent commits keep appending. applier must provide the same
-// transaction semantics the original chain ran.
+// the normal import path. The returned chain carries the store's commit
+// hook, so subsequent commits keep appending. applier must provide the
+// same transaction semantics the original chain ran.
 func (s *Store) OpenChain(applier ledger.TxApplier) (*ledger.Chain, error) {
 	chain, err := s.loadChain(applier)
 	if err != nil {
 		return nil, err
 	}
-	s.Attach(chain)
+	s.observe(chain)
 	return chain, nil
 }
 
-// VerifyChain is OpenChain without the attach — the offline auditor's
+// VerifyChain is OpenChain without the commit hook — the offline auditor's
 // entry point: rebuild and fully re-validate, but never write.
 func (s *Store) VerifyChain(applier ledger.TxApplier) (*ledger.Chain, error) {
 	return s.loadChain(applier)

@@ -78,6 +78,10 @@ type Options struct {
 	// NoFsync skips fsync on append — only for tests and load rigs
 	// that measure everything except the disk.
 	NoFsync bool
+	// SnapshotEvery writes a state snapshot after every N blocks the
+	// chain commits once InitChain or OpenChain has bound it to the
+	// store (0, the default, never snapshots).
+	SnapshotEvery uint64
 }
 
 func (o *Options) withDefaults() Options {

@@ -294,6 +294,83 @@ func TestStoreSegmentRollAndPrune(t *testing.T) {
 	}
 }
 
+// TestStoreSnapshotEvery drives the Options.SnapshotEvery cadence
+// through the commit hook InitChain and OpenChain install: a snapshot
+// lands N blocks after the chain is bound, only the newest two are
+// kept, segments at or below the oldest kept snapshot are pruned, and a
+// reopen resumes from snapshot + tail at the same state root with the
+// cadence counting again from the reopened height.
+func TestStoreSnapshotEvery(t *testing.T) {
+	const every = 3
+	dir := t.TempDir()
+	opts := &Options{SnapshotEvery: every, SegmentBytes: 512} // roll about every block
+	chain, authority, alice, bob := testChain(t, 0)
+	st, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.InitChain(chain); err != nil {
+		t.Fatal(err)
+	}
+	snaps := func(st *Store) []uint64 {
+		t.Helper()
+		hs, err := st.snapshotHeights()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hs
+	}
+
+	sealTransfers(t, chain, authority, alice, bob, every-1)
+	if hs := snaps(st); len(hs) != 0 {
+		t.Fatalf("snapshots %v before %d blocks", hs, every)
+	}
+	sealTransfers(t, chain, authority, alice, bob, 1)
+	if hs := snaps(st); len(hs) != 1 || hs[0] != every {
+		t.Fatalf("snapshots = %v, want [%d]", hs, every)
+	}
+
+	// Heights 4..11: snapshots at 6 and 9 retire the one at 3; 10 and 11
+	// form the log tail.
+	sealTransfers(t, chain, authority, alice, bob, 8)
+	if hs := snaps(st); len(hs) != 2 || hs[0] != 6 || hs[1] != 9 {
+		t.Fatalf("snapshots = %v, want [6 9]", hs)
+	}
+	st.mu.Lock()
+	for i, seg := range st.segments[:len(st.segments)-1] {
+		if seg.frames > 0 && seg.last <= 6 {
+			st.mu.Unlock()
+			t.Fatalf("segment %d (blocks %d..%d) survived the snapshot at 6", i, seg.first, seg.last)
+		}
+	}
+	first := st.segments[0].first
+	st.mu.Unlock()
+	if first != 7 {
+		t.Fatalf("oldest kept segment starts at %d, want 7", first)
+	}
+	st.Close()
+
+	st2, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	got, err := st2.OpenChain(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Base() != 9 || got.Height() != 11 {
+		t.Fatalf("reopened at base %d height %d, want 9 and 11", got.Base(), got.Height())
+	}
+	if got.State().Root() != chain.State().Root() {
+		t.Fatal("snapshot + tail state root diverges")
+	}
+	sealTransfers(t, got, authority, alice, bob, every)
+	if hs := snaps(st2); len(hs) != 2 || hs[1] != 11+every {
+		t.Fatalf("snapshots after reopen = %v, want [9 %d]", hs, 11+every)
+	}
+}
+
 func TestStoreRejectsNonContiguousAppend(t *testing.T) {
 	dir := t.TempDir()
 	chain, _, _, _ := testChain(t, 2)

@@ -142,7 +142,7 @@ func loadNode(cfg loadgen.Config, dir string) (*loadgen.Report, finalState, erro
 	var store *chainstore.Store
 	if dir != "" {
 		var err error
-		if store, err = chainstore.Open(dir, nil); err != nil {
+		if store, err = chainstore.Open(dir, &chainstore.Options{SnapshotEvery: 25}); err != nil {
 			return nil, fin, err
 		}
 	}
@@ -154,37 +154,26 @@ func loadNode(cfg loadgen.Config, dir string) (*loadgen.Report, finalState, erro
 	if err != nil {
 		return nil, fin, err
 	}
-	if store != nil {
-		store.AttachSnapshotting(m.Chain, 25)
-	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fin, err
 	}
-	hs := &http.Server{Handler: api.NewServer(m, true)}
+	srv := api.NewServer(m, true)
+	hs := &http.Server{Handler: srv}
 	go func() { _ = hs.Serve(ln) }()
 	cfg.Target = "http://" + ln.Addr().String()
 
 	ctx, cancel := context.WithCancel(context.Background())
+	sealerDone := make(chan struct{})
 	go func() {
-		client := api.NewClient(cfg.Target)
-		tick := time.NewTicker(25 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-			}
-			if st, err := client.Status(ctx); err == nil && st.Pending > 0 {
-				_, _ = client.Seal(ctx)
-			}
-		}
+		defer close(sealerDone)
+		srv.SealEvery(ctx, 25*time.Millisecond)
 	}()
 
 	rep, runErr := loadgen.Run(ctx, cfg)
 	cancel()
+	<-sealerDone
 	shutCtx, done := context.WithTimeout(context.Background(), 2*time.Second)
 	_ = hs.Shutdown(shutCtx)
 	done()

@@ -61,12 +61,6 @@ func NewMempool(maxSize int) *Mempool {
 var (
 	ErrMempoolFull      = errors.New("ledger: mempool full")
 	ErrMempoolDuplicate = errors.New("ledger: transaction already pending")
-
-	// ErrMempoolNonceDup reports a second, distinct transaction for a
-	// (sender, nonce) slot. Add no longer returns it — the newer
-	// transaction replaces the pending one — but the sentinel remains
-	// for callers that classified the old rejection.
-	ErrMempoolNonceDup = errors.New("ledger: duplicate nonce for sender")
 )
 
 // Add admits a transaction after stateless verification. A transaction
@@ -333,23 +327,7 @@ func (m *Mempool) Remove(txs []*Transaction) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, tx := range txs {
-		h := tx.Hash()
-		if _, ok := m.byHash[h]; !ok {
-			continue
-		}
-		delete(m.byHash, h)
-		list := m.bySender[tx.From]
-		for i, pending := range list {
-			if pending.Hash() == h {
-				list = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-		if len(list) == 0 {
-			delete(m.bySender, tx.From)
-		} else {
-			m.bySender[tx.From] = list
-		}
+		m.dropLocked(tx)
 	}
 	mPoolDepth.Set(float64(len(m.byHash)))
 }

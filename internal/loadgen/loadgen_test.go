@@ -15,7 +15,7 @@ import (
 )
 
 // startNode spins up a real API server over HTTP with the loadgen
-// population funded at genesis, plus the same auto-sealer loop
+// population funded at genesis, plus the same in-process sealer
 // pds2-node runs.
 func startNode(t *testing.T, seed uint64, accounts int) (string, context.CancelFunc) {
 	t.Helper()
@@ -28,25 +28,16 @@ func startNode(t *testing.T, seed uint64, accounts int) (string, context.CancelF
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(api.NewServer(m, true))
+	srv := api.NewServer(m, true)
+	ts := httptest.NewServer(srv)
 	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
 	go func() {
-		client := api.NewClient(ts.URL)
-		tick := time.NewTicker(25 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-			}
-			if st, err := client.Status(ctx); err == nil && st.Pending > 0 {
-				_, _ = client.Seal(ctx)
-			}
-		}
+		defer close(done)
+		srv.SealEvery(ctx, 25*time.Millisecond)
 	}()
 	t.Cleanup(ts.Close)
-	return ts.URL, cancel
+	return ts.URL, func() { cancel(); <-done }
 }
 
 func TestRunAgainstInProcessNode(t *testing.T) {

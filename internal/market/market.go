@@ -361,13 +361,18 @@ func (m *Market) WorkloadResultOf(addr identity.Address) (crypto.Digest, []Score
 	return h, scores, err
 }
 
-// Workloads lists all workload contract addresses in the registry.
-func (m *Market) Workloads() ([]identity.Address, error) {
+// WorkloadCount returns the number of workloads in the registry.
+func (m *Market) WorkloadCount() (uint64, error) {
 	raw, err := m.View(identity.ZeroAddress, m.Registry, "workloadCount", nil)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	n, err := contract.NewDecoder(raw).Uint64()
+	return contract.NewDecoder(raw).Uint64()
+}
+
+// Workloads lists all workload contract addresses in the registry.
+func (m *Market) Workloads() ([]identity.Address, error) {
+	n, err := m.WorkloadCount()
 	if err != nil {
 		return nil, err
 	}

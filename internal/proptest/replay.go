@@ -220,8 +220,8 @@ func persistReplay(data []byte, sched faults.Schedule) (ModeResult, int) {
 
 	inj := faults.NewInjector(sched)
 
-	const snapshotEvery = 4
-	store, err := chainstore.Open(dir, nil)
+	opts := &chainstore.Options{SnapshotEvery: 4}
+	store, err := chainstore.Open(dir, opts)
 	if err != nil {
 		res.Err = err
 		return res, kills
@@ -240,7 +240,6 @@ func persistReplay(data []byte, sched faults.Schedule) (ModeResult, int) {
 		res.Err = err
 		return res, kills
 	}
-	store.AttachSnapshotting(chain, snapshotEvery)
 
 	for i := 0; i < len(exp.Blocks); {
 		b := exp.Blocks[i]
@@ -264,7 +263,7 @@ func persistReplay(data []byte, sched faults.Schedule) (ModeResult, int) {
 			res.Err = err
 			return res, kills
 		}
-		store, err = chainstore.Open(dir, nil)
+		store, err = chainstore.Open(dir, opts)
 		if err != nil {
 			res.Err = fmt.Errorf("proptest: reopen after kill: %w", err)
 			return res, kills
@@ -275,7 +274,6 @@ func persistReplay(data []byte, sched faults.Schedule) (ModeResult, int) {
 			store.Close()
 			return res, kills
 		}
-		store.AttachSnapshotting(chain, snapshotEvery)
 		// Torn-tail truncation may have dropped the last committed
 		// block; re-import from wherever the durable prefix ends.
 		i = int(chain.Height()) - firstImportOffset(exp)

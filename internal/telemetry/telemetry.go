@@ -1,5 +1,5 @@
 // Package telemetry is the observability substrate of the PDS²
-// reproduction: a lock-sharded metrics registry (counters, gauges and
+// reproduction: a metrics registry (counters, gauges and
 // fixed-bucket histograms with quantile snapshots) plus a lightweight
 // span tracer (trace.go). Every hot path in the stack — ledger block
 // production, contract execution, the workload lifecycle, gossip rounds,
@@ -13,13 +13,12 @@
 // nanoseconds and allocates nothing (see BenchmarkTelemetryOverhead).
 // When enabled, counters and gauges are single atomic operations and
 // histogram observations touch one bucket plus a handful of CAS loops;
-// registration (name → instrument lookup) is the only locking path and
-// is sharded by name hash to stay off the contention radar.
+// registration (name → instrument lookup) and snapshots are the only
+// locking paths, and neither runs once per operation.
 package telemetry
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
 	"sort"
 	"strings"
@@ -28,35 +27,25 @@ import (
 	"time"
 )
 
-// numShards is the registration-lock fan-out. Registration is rare (hot
-// paths hold instrument pointers), so this only matters for Snapshot
-// concurrency and pathological lookup storms.
-const numShards = 16
-
-// shard is one slice of the name → instrument map with its own lock.
-type shard struct {
-	mu      sync.RWMutex
-	metrics map[string]any // *Counter | *Gauge | *Histogram
-}
-
 // Registry holds named instruments and a tracer. The zero value is not
 // usable; call New. A Registry starts disabled: instruments accept calls
 // but record nothing until SetEnabled(true).
 type Registry struct {
 	enabled atomic.Bool
 	node    atomic.Value // string: this node's identity on recorded spans
-	shards  [numShards]shard
 	tracer  *Tracer
-	seed    maphash.Seed
+
+	// mu guards metrics. It is taken only to register or look up an
+	// instrument and to walk the map (Snapshot, Reset); hot paths hold
+	// instrument pointers resolved once, typically at package init.
+	mu      sync.RWMutex
+	metrics map[string]any // *Counter | *Gauge | *Histogram
 }
 
 // New returns an empty, disabled registry with a tracer of the default
 // span capacity.
 func New() *Registry {
-	r := &Registry{seed: maphash.MakeSeed()}
-	for i := range r.shards {
-		r.shards[i].metrics = make(map[string]any)
-	}
+	r := &Registry{metrics: make(map[string]any)}
 	r.tracer = newTracer(r, DefaultSpanCapacity)
 	return r
 }
@@ -84,25 +73,20 @@ func (r *Registry) Node() string {
 // Tracer returns the registry's span tracer.
 func (r *Registry) Tracer() *Tracer { return r.tracer }
 
-func (r *Registry) shardFor(name string) *shard {
-	return &r.shards[maphash.String(r.seed, name)%numShards]
-}
-
 // lookup finds or creates the instrument under name. create must return
 // a fresh instrument; a kind mismatch with an existing name panics, as
 // it is always a programming error.
 func (r *Registry) lookup(name string, kind string, create func() any) any {
-	s := r.shardFor(name)
-	s.mu.RLock()
-	m, ok := s.metrics[name]
-	s.mu.RUnlock()
+	r.mu.RLock()
+	m, ok := r.metrics[name]
+	r.mu.RUnlock()
 	if !ok {
-		s.mu.Lock()
-		if m, ok = s.metrics[name]; !ok {
+		r.mu.Lock()
+		if m, ok = r.metrics[name]; !ok {
 			m = create()
-			s.metrics[name] = m
+			r.metrics[name] = m
 		}
-		s.mu.Unlock()
+		r.mu.Unlock()
 	}
 	switch m.(type) {
 	case *Counter:
@@ -376,21 +360,18 @@ type Snapshot struct {
 // accumulated while it was on).
 func (r *Registry) Snapshot() Snapshot {
 	var out []Metric
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for name, m := range s.metrics {
-			switch v := m.(type) {
-			case *Counter:
-				out = append(out, Metric{Name: name, Kind: KindCounter, Value: float64(v.Value())})
-			case *Gauge:
-				out = append(out, Metric{Name: name, Kind: KindGauge, Value: v.Value()})
-			case *Histogram:
-				out = append(out, v.snapshot())
-			}
+	r.mu.RLock()
+	for name, m := range r.metrics {
+		switch v := m.(type) {
+		case *Counter:
+			out = append(out, Metric{Name: name, Kind: KindCounter, Value: float64(v.Value())})
+		case *Gauge:
+			out = append(out, Metric{Name: name, Kind: KindGauge, Value: v.Value()})
+		case *Histogram:
+			out = append(out, v.snapshot())
 		}
-		s.mu.RUnlock()
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return Snapshot{Metrics: out}
 }
@@ -506,21 +487,18 @@ func (s Snapshot) Summary() string {
 // registrations intact. Concurrent observers may land on either side of
 // the reset; the per-instrument state stays internally consistent.
 func (r *Registry) Reset() {
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, m := range s.metrics {
-			switch v := m.(type) {
-			case *Counter:
-				v.v.Store(0)
-			case *Gauge:
-				v.bits.Store(0)
-			case *Histogram:
-				v.reset()
-			}
+	r.mu.RLock()
+	for _, m := range r.metrics {
+		switch v := m.(type) {
+		case *Counter:
+			v.v.Store(0)
+		case *Gauge:
+			v.bits.Store(0)
+		case *Histogram:
+			v.reset()
 		}
-		s.mu.RUnlock()
 	}
+	r.mu.RUnlock()
 	r.tracer.Reset()
 }
 
